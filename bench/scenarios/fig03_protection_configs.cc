@@ -43,7 +43,7 @@ runScenario(sim::ScenarioContext &ctx)
         {"(a) error-free cores", streamit::ProtectionMode::ReliableQueue,
          false},
         {"(b) PPU cores, software queues",
-         streamit::ProtectionMode::PpuOnly, true},
+         streamit::ProtectionMode::Raw, true},
         {"(c) PPU cores, reliable queues",
          streamit::ProtectionMode::ReliableQueue, true},
         {"(d) PPU cores, CommGuard", streamit::ProtectionMode::CommGuard,

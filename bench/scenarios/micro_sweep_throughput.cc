@@ -193,7 +193,6 @@ runScenario(sim::ScenarioContext &ctx)
     pool["batches_submitted"] =
         Json(results[j4].pool.batchesSubmitted);
     pool["tasks_stolen"] = Json(results[j4].pool.tasksStolen);
-    pool["jobs_queued"] = Json(results[j4].pool.jobsQueued);
     pool["queue_waits"] = Json(results[j4].pool.queueWaits);
     pool["idle_wakeups"] = Json(results[j4].pool.idleWakeups);
 

@@ -1,6 +1,8 @@
 // fault_playground: a small CLI for exploring the simulator — pick a
 // benchmark, a protection mode, an error rate, a frame-size scale and
-// a seed, run it, and dump the full statistics tree.
+// a seed, run it, and dump every counter of the run's metric registry
+// (the same names docs/METRICS.md catalogues and the JSONL records
+// carry: node/<core>/..., cg/<core>/..., queue/<name>/..., ...).
 //
 // Usage:
 //   fault_playground [app] [mode] [mtbe] [seed] [frame_scale]
@@ -16,7 +18,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
 #include <stdexcept>
 #include <string>
 
@@ -41,7 +42,7 @@ main(int argc, char **argv)
     bool inject = true;
     streamit::ProtectionMode mode = streamit::ProtectionMode::CommGuard;
     if (mode_name == "ppu") {
-        mode = streamit::ProtectionMode::PpuOnly;
+        mode = streamit::ProtectionMode::Raw;
     } else if (mode_name == "reliable") {
         mode = streamit::ProtectionMode::ReliableQueue;
     } else if (mode_name == "error-free") {
@@ -79,7 +80,7 @@ main(int argc, char **argv)
             disasm = true;
     }
 
-    // Run with full machine access so we can dump the stats tree.
+    // Run with full machine access so we can dump its metrics.
     streamit::LoadedApp loaded = streamit::loadGraph(
         app.graph, app.input, app.steadyIterations, options);
 
@@ -101,7 +102,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(result.timeoutsFired),
                 static_cast<unsigned long long>(result.deadlockBreaks));
 
-    std::printf("---- statistics tree ----\n");
-    loaded.machine->collectStats().dump(std::cout);
+    std::printf("---- metrics ----\n");
+    const metrics::MetricSnapshot snapshot =
+        loaded.machine->metrics().snapshot();
+    for (const auto &[name, value] : snapshot.counters())
+        std::printf("%s = %llu\n", name.c_str(),
+                    static_cast<unsigned long long>(value));
     return 0;
 }

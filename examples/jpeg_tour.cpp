@@ -60,7 +60,7 @@ main(int argc, char **argv)
     decodeAndSave(app, width, height,
                   streamit::ProtectionMode::ReliableQueue, false, 0,
                   dir + "/error_free.ppm");
-    decodeAndSave(app, width, height, streamit::ProtectionMode::PpuOnly,
+    decodeAndSave(app, width, height, streamit::ProtectionMode::Raw,
                   true, 1e6, dir + "/software_queues.ppm");
     decodeAndSave(app, width, height,
                   streamit::ProtectionMode::ReliableQueue, true, 1e6,

@@ -77,7 +77,7 @@ AbftBackend::flushPending(int port, OutState &out)
         // never exposed to injection.
         _core->chargeQueueTransfer();
         _core->chargeReliableOps(queue.opCost());
-        if (TraceSink *t = _core->traceSink()) [[unlikely]]
+        if (EventTracer *t = _core->eventTracer()) [[unlikely]]
             t->onQueueDepth(*_core, queue, queue.size());
     }
     return true;
@@ -95,7 +95,7 @@ AbftBackend::push(int port, Word value)
         return QueueOpStatus::Blocked;
     if (queue.opCost() > 0)
         _core->exposeQueueWindow(queue.opCost(), queue);
-    if (TraceSink *t = _core->traceSink()) [[unlikely]]
+    if (EventTracer *t = _core->eventTracer()) [[unlikely]]
         t->onQueueDepth(*_core, queue, queue.size());
 
     out.runS += value;
@@ -216,7 +216,7 @@ AbftBackend::pop(int port)
             return {true, 0};
         if (queue.opCost() > 0)
             _core->exposeQueueWindow(queue.opCost(), queue);
-        if (TraceSink *t = _core->traceSink()) [[unlikely]]
+        if (EventTracer *t = _core->eventTracer()) [[unlikely]]
             t->onQueueDepth(*_core, queue, queue.size());
         return {false, word.value};
     }
@@ -245,7 +245,7 @@ AbftBackend::pop(int port)
             return {true, 0};
         if (queue.opCost() > 0)
             _core->exposeQueueWindow(queue.opCost(), queue);
-        if (TraceSink *t = _core->traceSink()) [[unlikely]]
+        if (EventTracer *t = _core->eventTracer()) [[unlikely]]
             t->onQueueDepth(*_core, queue, queue.size());
         return {false, word.value};
     }
@@ -256,7 +256,7 @@ AbftBackend::pop(int port)
         QueueWord word;
         if (queue.tryPop(word) == QueueOpStatus::Blocked)
             return {true, 0};
-        if (TraceSink *t = _core->traceSink()) [[unlikely]]
+        if (EventTracer *t = _core->eventTracer()) [[unlikely]]
             t->onQueueDepth(*_core, queue, queue.size());
         if (word.isHeader) {
             in.chk[in.chkCount++] = word.value;
@@ -316,12 +316,6 @@ AbftBackend::timeoutPop(int port)
     (void)port;
     ++_counters.timeoutPads;
     return 0;
-}
-
-void
-AbftBackend::exportStats(StatGroup &group) const
-{
-    _counters.exportTo(group.child("abft"));
 }
 
 } // namespace commguard

@@ -21,7 +21,7 @@ RawBackend::push(int port, Word value)
         _core->exposeQueueWindow(queue.opCost(), queue);
     }
     if (status == QueueOpStatus::Ok) {
-        if (TraceSink *t = _core->traceSink()) [[unlikely]]
+        if (EventTracer *t = _core->eventTracer()) [[unlikely]]
             t->onQueueDepth(*_core, queue, queue.size());
     }
     return status;
@@ -36,7 +36,7 @@ RawBackend::pop(int port)
         return {true, 0};
     if (queue.opCost() > 0)
         _core->exposeQueueWindow(queue.opCost(), queue);
-    if (TraceSink *t = _core->traceSink()) [[unlikely]]
+    if (EventTracer *t = _core->eventTracer()) [[unlikely]]
         t->onQueueDepth(*_core, queue, queue.size());
     // Headers never reach raw configurations; if one does (miswired
     // test), its raw value passes through as a data item.
@@ -110,7 +110,7 @@ CommGuardBackend::push(int port, Word value)
 {
     const QueueOpStatus status = _outQms[port].pushItem(value);
     if (status == QueueOpStatus::Ok) {
-        if (TraceSink *t = _core->traceSink()) [[unlikely]] {
+        if (EventTracer *t = _core->eventTracer()) [[unlikely]] {
             QueueBase &queue = _outQms[port].queue();
             t->onQueueDepth(*_core, queue, queue.size());
         }
@@ -127,7 +127,7 @@ CommGuardBackend::pop(int port)
         if (_inQms[port].pop(word) == QueueOpStatus::Blocked)
             return {true, 0};
         ++_counters.acceptedItems;
-        if (TraceSink *t = _core->traceSink()) [[unlikely]] {
+        if (EventTracer *t = _core->eventTracer()) [[unlikely]] {
             QueueBase &queue = _inQms[port].queue();
             t->onQueueDepth(*_core, queue, queue.size());
         }
@@ -153,7 +153,7 @@ CommGuardBackend::pop(int port)
     for (Count i = 1; i < consumed; ++i)
         _core->chargeQueueTransfer();
 
-    if (TraceSink *t = _core->traceSink()) [[unlikely]] {
+    if (EventTracer *t = _core->eventTracer()) [[unlikely]] {
         for (Count k = _counters.discardedItems - items_before; k > 0;
              --k)
             t->onAmDiscardItem(*_core, port);
@@ -189,7 +189,7 @@ CommGuardBackend::pop(int port)
 QueueOpStatus
 CommGuardBackend::newFrameComputation()
 {
-    TraceSink *t = _core->traceSink();
+    EventTracer *t = _core->eventTracer();
     if (!_framePending) {
         _framePending = true;
 
@@ -256,7 +256,7 @@ CommGuardBackend::endOfComputation()
             QueueOpStatus::Blocked) {
             return QueueOpStatus::Blocked;
         }
-        if (TraceSink *t = _core->traceSink();
+        if (EventTracer *t = _core->eventTracer();
             t != nullptr && _counters.headerStores != stores_before)
             [[unlikely]] {
             QueueBase &queue = _outQms[_eocEdge].queue();
@@ -276,7 +276,7 @@ CommGuardBackend::timeoutPop(int port)
     // boundaries." Deliver a benign zero; the AM state is untouched and
     // realigns on the next header.
     ++_counters.paddedItems;
-    if (TraceSink *t = _core->traceSink()) [[unlikely]]
+    if (EventTracer *t = _core->eventTracer()) [[unlikely]]
         t->onAmPad(*_core, port);
     return 0;
 }
@@ -294,17 +294,11 @@ CommGuardBackend::timeoutFrameEvent()
         edge = _eocEdge;
         _his[_eocEdge]->skipBlockedPort();
     }
-    if (TraceSink *t = _core->traceSink();
+    if (EventTracer *t = _core->eventTracer();
         t != nullptr &&
         _counters.headerDropsOnTimeout != drops_before) [[unlikely]] {
         t->onHeaderDropped(*_core, static_cast<int>(edge));
     }
-}
-
-void
-CommGuardBackend::exportStats(StatGroup &group) const
-{
-    _counters.exportTo(group.child("commguard"));
 }
 
 } // namespace commguard

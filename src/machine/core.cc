@@ -74,23 +74,6 @@ Core::setPpu(const PpuConfig &ppu)
 }
 
 void
-Core::addTraceSink(TraceSink *sink)
-{
-    if (sink == nullptr)
-        return;
-    if (_trace == nullptr) {
-        _trace = sink;
-        return;
-    }
-    if (_fanOut == nullptr) {
-        _fanOut = std::make_unique<FanOutSink>();
-        _fanOut->addSink(_trace);
-        _trace = _fanOut.get();
-    }
-    _fanOut->addSink(sink);
-}
-
-void
 Core::startInvocation()
 {
     _pc = 0;
@@ -134,8 +117,6 @@ Core::flipRandomRegisterBit()
 void
 Core::commit(Cycle extra_cycles, Count next_pc)
 {
-    if (_trace != nullptr) [[unlikely]]
-        _trace->onCommit(*this, _pc, _program.code[_pc]);
     _pc = next_pc;
     ++_counters.committedInsts;
     ++_instsThisInvocation;

@@ -20,7 +20,6 @@
 
 #include "common/metrics.hh"
 #include "common/recycle_pool.hh"
-#include "common/stats.hh"
 #include "common/telemetry.hh"
 #include "machine/core.hh"
 #include "machine/core_runtime.hh"
@@ -157,9 +156,6 @@ class Multicore
     /** Sum of cycles over all cores. */
     Cycle totalCycles() const;
 
-    /** Export the full statistics tree (cores, backends, queues). */
-    StatGroup collectStats() const;
-
     /**
      * Per-run metric directory: every component registered its
      * counters here when it was added to the machine. snapshot() it
@@ -231,8 +227,8 @@ class Multicore
     Count _round = 0;
     std::vector<Count> _blockedRounds;
 
-    // Event tracing (null when off). The tracers are the per-core
-    // TraceSink adapters; _machineTrack records scheduler events.
+    // Event tracing (null when off). One tracer per core writes that
+    // core's track; _machineTrack records scheduler events.
     std::shared_ptr<trace::EventTrace> _eventTrace;
     trace::EventBuffer *_machineTrack = nullptr;
     std::vector<std::unique_ptr<EventTracer>> _tracers;

@@ -49,7 +49,7 @@ ReplicateBackend::pop(int port)
             return {true, 0};
         if (queue.opCost() > 0)
             _core->exposeQueueWindow(queue.opCost(), queue);
-        if (TraceSink *t = _core->traceSink()) [[unlikely]]
+        if (EventTracer *t = _core->eventTracer()) [[unlikely]]
             t->onQueueDepth(*_core, queue, queue.size());
         _inLog[port].push_back(word.value);
         return {false, word.value};
@@ -170,7 +170,7 @@ ReplicateBackend::invocationDone()
             _core->chargeQueueTransfer();
             if (queue.opCost() > 0)
                 _core->exposeQueueWindow(queue.opCost(), queue);
-            if (TraceSink *t = _core->traceSink()) [[unlikely]]
+            if (EventTracer *t = _core->eventTracer()) [[unlikely]]
                 t->onQueueDepth(*_core, queue, queue.size());
         }
     }
@@ -199,12 +199,6 @@ ReplicateBackend::timeoutFrameEvent()
         ++_flushIndex;
         ++_counters.flushDrops;
     }
-}
-
-void
-ReplicateBackend::exportStats(StatGroup &group) const
-{
-    _counters.exportTo(group.child("replicate"));
 }
 
 } // namespace commguard

@@ -1,26 +1,21 @@
 /**
  * @file
- * Execution tracing hooks for debugging and observing simulated
- * programs.
+ * Frame-lifecycle event tracing of a simulated core.
  *
- * A TraceSink observes a core's committed instructions, invocation
- * boundaries, queue activity, CommGuard frame-lifecycle actions, and
- * injected errors — the simulator-side equivalent of gem5's
- * trace-based debugging. Tracing is off by default and costs one
- * pointer test per observed event when enabled.
- *
- * This is the single dispatch point for every observer: the
- * human-readable TextTracer, the binary EventTracer, and any test
- * double all implement TraceSink; FanOutSink composes several sinks
- * behind one core-side pointer so no second hook mechanism exists.
+ * An EventTracer renders a core's invocation boundaries, queue
+ * activity, CommGuard frame-lifecycle actions and injected errors
+ * into one trace::EventTrace track (docs/TRACING.md). The core and
+ * its backend call it directly through one null-guarded pointer, so
+ * tracing is off by default and costs one pointer test per observed
+ * event when enabled. Instruction-level inspection uses
+ * isa::disassemble on the loaded programs instead.
  */
 
 #ifndef COMMGUARD_MACHINE_TRACE_HH
 #define COMMGUARD_MACHINE_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <ostream>
-#include <vector>
 
 #include "common/event_trace.hh"
 #include "common/types.hh"
@@ -33,141 +28,66 @@ class Core;
 class QueueBase;
 
 /**
- * Observer interface for core execution events. Every hook has an
- * empty default so sinks override only what they need.
+ * Binary event tracer: one per traced core, writing that core's
+ * track. Instruction commits are deliberately not recorded (they would
+ * drown the ring). Timestamps are the observed core's cycle clock;
+ * the shared seq stamp provides cross-track order.
  */
-class TraceSink
+class EventTracer
 {
   public:
-    virtual ~TraceSink() = default;
-
-    /** An instruction at @p pc committed on @p core. */
-    virtual void
-    onCommit(const Core &core, Count pc, const isa::Inst &inst)
-    {
-        (void)core;
-        (void)pc;
-        (void)inst;
-    }
+    EventTracer(trace::EventTrace &trace, trace::EventBuffer &track)
+        : _trace(trace), _track(track)
+    {}
 
     /** A new frame-computation invocation began. */
-    virtual void
-    onInvocationStart(const Core &core)
-    {
-        (void)core;
-    }
+    void onInvocationStart(const Core &core);
 
     /** The injector flipped @p bit of @p reg. */
-    virtual void
-    onErrorInjected(const Core &core, isa::Reg reg, int bit)
-    {
-        (void)core;
-        (void)reg;
-        (void)bit;
-    }
+    void onErrorInjected(const Core &core, isa::Reg reg, int bit);
 
     // ------------------------------------------------------------------
     // Queue activity (emitted by the core's interpreter).
     // ------------------------------------------------------------------
 
     /** A push on output @p port committed. */
-    virtual void
-    onQueuePush(const Core &core, int port)
-    {
-        (void)core;
-        (void)port;
-    }
+    void onQueuePush(const Core &core, int port);
 
     /** A pop on input @p port committed. */
-    virtual void
-    onQueuePop(const Core &core, int port)
-    {
-        (void)core;
-        (void)port;
-    }
+    void onQueuePop(const Core &core, int port);
 
     /** A queue op on @p port blocked (first blocked attempt only). */
-    virtual void
-    onQueueBlock(const Core &core, int port, bool is_pop)
-    {
-        (void)core;
-        (void)port;
-        (void)is_pop;
-    }
+    void onQueueBlock(const Core &core, int port, bool is_pop);
 
     /** The blocked op on @p port resumed (success or timeout). */
-    virtual void
-    onQueueUnblock(const Core &core, int port, bool is_pop)
-    {
-        (void)core;
-        (void)port;
-        (void)is_pop;
-    }
+    void onQueueUnblock(const Core &core, int port, bool is_pop);
 
     /** A software-queue routine's state was corrupted (QME). */
-    virtual void
-    onQueueCorrupt(const Core &core, const QueueBase &queue)
-    {
-        (void)core;
-        (void)queue;
-    }
+    void onQueueCorrupt(const Core &core, const QueueBase &queue);
 
     /** Post-operation depth sample of @p queue. */
-    virtual void
-    onQueueDepth(const Core &core, const QueueBase &queue,
-                 std::size_t depth)
-    {
-        (void)core;
-        (void)queue;
-        (void)depth;
-    }
+    void onQueueDepth(const Core &core, const QueueBase &queue,
+                      std::size_t depth);
 
     /** A QM timeout force-resolved the blocked pop on @p port. */
-    virtual void
-    onPopTimeout(const Core &core, int port)
-    {
-        (void)core;
-        (void)port;
-    }
+    void onPopTimeout(const Core &core, int port);
 
     /** A QM timeout force-resolved the blocked push on @p port. */
-    virtual void
-    onPushTimeout(const Core &core, int port)
-    {
-        (void)core;
-        (void)port;
-    }
+    void onPushTimeout(const Core &core, int port);
 
     /** The PPU watchdog force-completed a scope (@p nested level). */
-    virtual void
-    onWatchdogTrip(const Core &core, bool nested)
-    {
-        (void)core;
-        (void)nested;
-    }
+    void onWatchdogTrip(const Core &core, bool nested);
 
     // ------------------------------------------------------------------
     // CommGuard frame lifecycle (emitted by the backend).
     // ------------------------------------------------------------------
 
     /** The HI stored frame header @p frame into @p queue. */
-    virtual void
-    onHeaderInsert(const Core &core, int port, const QueueBase &queue,
-                   FrameId frame)
-    {
-        (void)core;
-        (void)port;
-        (void)queue;
-        (void)frame;
-    }
+    void onHeaderInsert(const Core &core, int port,
+                        const QueueBase &queue, FrameId frame);
 
     /** The HI gave up on a blocked header insertion (QM timeout). */
-    virtual void
-    onHeaderDropped(const Core &core, int port)
-    {
-        (void)core;
-        (void)port;
-    }
+    void onHeaderDropped(const Core &core, int port);
 
     /**
      * The AM for input @p port moved @p from -> @p to (AmState codes).
@@ -175,149 +95,17 @@ class TraceSink
      * the before/after pair. @p info is the frame id driving the move
      * (the pending header when entering the padding state).
      */
-    virtual void
-    onAmTransition(const Core &core, int port, std::uint8_t from,
-                   std::uint8_t to, Word info)
-    {
-        (void)core;
-        (void)port;
-        (void)from;
-        (void)to;
-        (void)info;
-    }
+    void onAmTransition(const Core &core, int port, std::uint8_t from,
+                        std::uint8_t to, Word info);
 
     /** The AM padded one pop response on @p port. */
-    virtual void
-    onAmPad(const Core &core, int port)
-    {
-        (void)core;
-        (void)port;
-    }
+    void onAmPad(const Core &core, int port);
 
     /** The AM discarded one queued item on @p port. */
-    virtual void
-    onAmDiscardItem(const Core &core, int port)
-    {
-        (void)core;
-        (void)port;
-    }
+    void onAmDiscardItem(const Core &core, int port);
 
     /** The AM discarded one queued header on @p port. */
-    virtual void
-    onAmDiscardHeader(const Core &core, int port)
-    {
-        (void)core;
-        (void)port;
-    }
-};
-
-/**
- * Composes several sinks behind the core's single observer pointer.
- * Sinks are not owned and are invoked in registration order.
- */
-class FanOutSink : public TraceSink
-{
-  public:
-    void addSink(TraceSink *sink);
-
-    void onCommit(const Core &core, Count pc,
-                  const isa::Inst &inst) override;
-    void onInvocationStart(const Core &core) override;
-    void onErrorInjected(const Core &core, isa::Reg reg,
-                         int bit) override;
-    void onQueuePush(const Core &core, int port) override;
-    void onQueuePop(const Core &core, int port) override;
-    void onQueueBlock(const Core &core, int port, bool is_pop) override;
-    void onQueueUnblock(const Core &core, int port,
-                        bool is_pop) override;
-    void onQueueCorrupt(const Core &core,
-                        const QueueBase &queue) override;
-    void onQueueDepth(const Core &core, const QueueBase &queue,
-                      std::size_t depth) override;
-    void onPopTimeout(const Core &core, int port) override;
-    void onPushTimeout(const Core &core, int port) override;
-    void onWatchdogTrip(const Core &core, bool nested) override;
-    void onHeaderInsert(const Core &core, int port,
-                        const QueueBase &queue, FrameId frame) override;
-    void onHeaderDropped(const Core &core, int port) override;
-    void onAmTransition(const Core &core, int port, std::uint8_t from,
-                        std::uint8_t to, Word info) override;
-    void onAmPad(const Core &core, int port) override;
-    void onAmDiscardItem(const Core &core, int port) override;
-    void onAmDiscardHeader(const Core &core, int port) override;
-
-  private:
-    std::vector<TraceSink *> _sinks;
-};
-
-/**
- * Human-readable trace writer with a line budget (trailing activity is
- * summarized as a count so a runaway program cannot flood the log).
- */
-class TextTracer : public TraceSink
-{
-  public:
-    /**
-     * @param os        Destination stream (not owned).
-     * @param max_lines Instruction lines to print before going quiet.
-     */
-    explicit TextTracer(std::ostream &os, Count max_lines = 200)
-        : _os(os), _maxLines(max_lines)
-    {}
-
-    void onCommit(const Core &core, Count pc,
-                  const isa::Inst &inst) override;
-    void onInvocationStart(const Core &core) override;
-    void onErrorInjected(const Core &core, isa::Reg reg,
-                         int bit) override;
-
-    Count commitsSeen() const { return _commits; }
-    Count errorsSeen() const { return _errors; }
-
-  private:
-    std::ostream &_os;
-    Count _maxLines;
-    Count _commits = 0;
-    Count _errors = 0;
-};
-
-/**
- * Binary event tracer: renders every frame-lifecycle hook into one
- * trace::EventTrace track. Instruction commits are deliberately not
- * recorded (they would drown the ring; instruction-level inspection
- * stays with TextTracer). Timestamps are the observed core's cycle
- * clock; the shared seq stamp provides cross-track order.
- */
-class EventTracer : public TraceSink
-{
-  public:
-    EventTracer(trace::EventTrace &trace, trace::EventBuffer &track)
-        : _trace(trace), _track(track)
-    {}
-
-    void onInvocationStart(const Core &core) override;
-    void onErrorInjected(const Core &core, isa::Reg reg,
-                         int bit) override;
-    void onQueuePush(const Core &core, int port) override;
-    void onQueuePop(const Core &core, int port) override;
-    void onQueueBlock(const Core &core, int port, bool is_pop) override;
-    void onQueueUnblock(const Core &core, int port,
-                        bool is_pop) override;
-    void onQueueCorrupt(const Core &core,
-                        const QueueBase &queue) override;
-    void onQueueDepth(const Core &core, const QueueBase &queue,
-                      std::size_t depth) override;
-    void onPopTimeout(const Core &core, int port) override;
-    void onPushTimeout(const Core &core, int port) override;
-    void onWatchdogTrip(const Core &core, bool nested) override;
-    void onHeaderInsert(const Core &core, int port,
-                        const QueueBase &queue, FrameId frame) override;
-    void onHeaderDropped(const Core &core, int port) override;
-    void onAmTransition(const Core &core, int port, std::uint8_t from,
-                        std::uint8_t to, Word info) override;
-    void onAmPad(const Core &core, int port) override;
-    void onAmDiscardItem(const Core &core, int port) override;
-    void onAmDiscardHeader(const Core &core, int port) override;
+    void onAmDiscardHeader(const Core &core, int port);
 
   private:
     trace::EventTrace &_trace;

@@ -8,6 +8,18 @@
 namespace commguard::sim
 {
 
+bool
+isRepairLeaf(std::string_view name)
+{
+    for (const std::string_view leaf : kRepairLeaves) {
+        if (name.size() > leaf.size() &&
+            name[name.size() - leaf.size() - 1] == '/' &&
+            name.ends_with(leaf))
+            return true;
+    }
+    return false;
+}
+
 RunOutcome
 runOnce(const apps::App &app, const streamit::LoadOptions &options,
         RunScratch *scratch)

@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/app.hh"
@@ -29,6 +30,22 @@
 
 namespace commguard::sim
 {
+
+/**
+ * The metric leaves summed into a run's "repaired items": CommGuard's
+ * padded and discarded items, replication's voted corrections and
+ * ABFT's corrected items.
+ */
+inline constexpr std::string_view kRepairLeaves[] = {
+    "paddedItems", "discardedItems", "votedCorrections",
+    "correctedItems"};
+
+/**
+ * Whether the counter @p name is "<path>/<leaf>" for one of
+ * kRepairLeaves: the per-counter form of RunOutcome::repairedItems()
+ * used by the telemetry series and the service driver's forensics.
+ */
+bool isRepairLeaf(std::string_view name);
 
 /**
  * Observables of one run: the full metric snapshot plus the bulk
@@ -115,6 +132,17 @@ struct RunOutcome
     {
         return snapshot.total("discardedItems");
     }
+
+    /** Items any protection mechanism repaired (kRepairLeaves sum). */
+    Count
+    repairedItems() const
+    {
+        Count sum = 0;
+        for (const std::string_view leaf : kRepairLeaves)
+            sum += snapshot.total(leaf);
+        return sum;
+    }
+
     Count discardedHeaders() const
     {
         return snapshot.total("discardedHeaders");

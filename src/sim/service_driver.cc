@@ -5,8 +5,8 @@
 
 #include "common/logging.hh"
 #include "queue/queue_word.hh"
+#include "sim/experiment.hh"
 #include "sim/protection.hh"
-#include "sim/telemetry_export.hh"
 
 namespace commguard::sim
 {
@@ -328,7 +328,7 @@ ServiceDriver::run()
             if (endsWith(name, "/errorsInjected") &&
                 name.compare(0, 5, "node/") == 0) {
                 counter_kinds[i] = CounterKind::Error;
-            } else if (telemetryRepairLeaf(name)) {
+            } else if (isRepairLeaf(name)) {
                 counter_kinds[i] = CounterKind::Repair;
             } else if (name == "queue/source/underflowPops") {
                 counter_kinds[i] = CounterKind::Underflow;

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -30,29 +29,6 @@ monotonicSeconds()
     return std::chrono::duration<double>(
                clock::now().time_since_epoch())
         .count();
-}
-
-/** Repair leaves summed into the boards' "repairs" aggregate (the
- *  pareto_protection "repaired items" definition). */
-bool
-isRepairLeaf(const std::string &name)
-{
-    auto ends_with = [&name](const char *leaf) {
-        const std::size_t n = std::strlen(leaf);
-        return name.size() >= n &&
-               name.compare(name.size() - n, n, leaf) == 0;
-    };
-    return ends_with("/paddedItems") || ends_with("/discardedItems") ||
-           ends_with("/votedCorrections") ||
-           ends_with("/correctedItems");
-}
-
-Count
-outcomeRepairs(const RunOutcome &outcome)
-{
-    return outcome.paddedItems() + outcome.discardedItems() +
-           outcome.snapshot.total("votedCorrections") +
-           outcome.snapshot.total("correctedItems");
 }
 
 /** Finite plotting value for a quality sample (+inf dB = error-free
@@ -642,12 +618,6 @@ StatusLine::finish(const std::string &text)
         active.line = nullptr;
 }
 
-bool
-telemetryRepairLeaf(const std::string &name)
-{
-    return isRepairLeaf(name);
-}
-
 std::string
 formatRateEta(std::size_t done, std::size_t total,
               double elapsed_seconds)
@@ -708,7 +678,7 @@ SweepHealthBoard::observe(std::size_t done, std::size_t total,
     ModeAggregate &aggregate =
         _modes[streamit::protectionModeName(descriptor.options.mode)];
     ++aggregate.runs;
-    aggregate.repairs += outcomeRepairs(outcome);
+    aggregate.repairs += outcome.repairedItems();
 
     const ThreadPool::Stats stats = _runner->poolStats();
     auto delta = [](Count a, Count b) { return a >= b ? a - b : 0; };

@@ -31,9 +31,10 @@ namespace commguard::streamit
 {
 
 /**
- * Deprecated aliases (one PR): ProtectionMode now lives in
- * sim/protection.hh and is minted by the ProtectionRegistry. Existing
- * `streamit::ProtectionMode::CommGuard` spellings keep compiling.
+ * ProtectionMode lives in sim/protection.hh and is minted by the
+ * ProtectionRegistry. These aliases stay because code outside the
+ * library (perfbench/ among it) spells the loader's mode as
+ * `streamit::ProtectionMode` and `streamit::protectionModeName`.
  */
 using ProtectionMode = protection::ProtectionMode;
 using protection::protectionModeName;

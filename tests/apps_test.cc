@@ -89,7 +89,7 @@ TEST_P(AppCase, ExtremeErrorRatesAlwaysComplete)
 {
     const App app = makeSmallApp(GetParam());
     for (ProtectionMode mode :
-         {ProtectionMode::PpuOnly, ProtectionMode::ReliableQueue,
+         {ProtectionMode::Raw, ProtectionMode::ReliableQueue,
           ProtectionMode::CommGuard}) {
         const sim::RunOutcome outcome = sim::ExperimentConfig::app(app)
                                             .mode(mode)

@@ -118,10 +118,11 @@ TEST_F(CgBackendTest, SerializesFrames)
 TEST_F(CgBackendTest, ExportStatsPublishesCounters)
 {
     ASSERT_EQ(_backend.newFrameComputation(), QueueOpStatus::Ok);
-    StatGroup group;
-    _backend.exportStats(group);
-    EXPECT_EQ(group.getPath("commguard/headerStores"), 1u);
-    EXPECT_EQ(group.getPath("commguard/prepareHeaderOps"), 1u);
+    metrics::Registry registry;
+    _backend.linkMetrics(registry, "t");
+    const metrics::MetricSnapshot snapshot = registry.snapshot();
+    EXPECT_EQ(snapshot.get("cg/t/headerStores"), 1u);
+    EXPECT_EQ(snapshot.get("cg/t/prepareHeaderOps"), 1u);
 }
 
 TEST_F(CgBackendTest, FrameDownscaleSkipsHeaderInsertions)

@@ -113,7 +113,7 @@ TEST_P(Conservation, SnapshotCountersConserve)
 {
     const apps::App app = makeSmallApp(GetParam());
     for (ProtectionMode mode :
-         {ProtectionMode::PpuOnly, ProtectionMode::ReliableQueue,
+         {ProtectionMode::Raw, ProtectionMode::ReliableQueue,
           ProtectionMode::CommGuard}) {
         SCOPED_TRACE(streamit::protectionModeName(mode));
         const sim::RunOutcome outcome = sim::ExperimentConfig::app(app)

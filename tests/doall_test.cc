@@ -206,7 +206,7 @@ TEST(DoAll, CompletesUnderExtremeErrorsInAllModes)
         iterations * numWorkers * chunkItems, floatToWord(1.0f));
 
     for (ProtectionMode mode :
-         {ProtectionMode::PpuOnly, ProtectionMode::ReliableQueue,
+         {ProtectionMode::Raw, ProtectionMode::ReliableQueue,
           ProtectionMode::CommGuard}) {
         LoadOptions options;
         options.mode = mode;

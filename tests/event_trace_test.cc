@@ -167,13 +167,13 @@ TEST(EventTraceRun, ConservationHoldsOnInjectedCommGuardRun)
 
 TEST(EventTraceRun, ConservationHoldsOnPpuOnlyRun)
 {
-    // PpuOnly runs corrupt software-queue state directly (Fig. 3b);
+    // Raw runs corrupt software-queue state directly (Fig. 3b);
     // the QueueCorrupt events must match the queue corruption
     // counters exactly.
     const apps::App app = apps::makeFftApp(16);
     const RunOutcome outcome =
         ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::PpuOnly)
+            .mode(streamit::ProtectionMode::Raw)
             .mtbe(64'000)
             .seedIndex(1)
             .traceEvents(true)

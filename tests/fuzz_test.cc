@@ -177,7 +177,7 @@ TEST(FuzzShrink, KeepsFailingAndSimplifies)
     EXPECT_EQ(minimal.frameScale, 1u);
     EXPECT_FALSE(minimal.allowSplitJoin);
     EXPECT_FALSE(minimal.injectErrors);
-    EXPECT_EQ(minimal.mode, streamit::ProtectionMode::PpuOnly);
+    EXPECT_EQ(minimal.mode, streamit::ProtectionMode::Raw);
     // The hook survives shrinking: that's what makes it replayable.
     EXPECT_EQ(minimal.breakInvariant, "counter");
 }

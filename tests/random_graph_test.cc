@@ -68,7 +68,7 @@ TEST_P(RandomGraph, SolvesLoadsAndRuns)
 
     // (ii) Error-free exactness in every mode.
     for (ProtectionMode mode :
-         {ProtectionMode::PpuOnly, ProtectionMode::ReliableQueue,
+         {ProtectionMode::Raw, ProtectionMode::ReliableQueue,
           ProtectionMode::CommGuard}) {
         LoadOptions options;
         options.mode = mode;
@@ -85,7 +85,7 @@ TEST_P(RandomGraph, SolvesLoadsAndRuns)
 
     // (iii) Progress under extreme errors in every mode.
     for (ProtectionMode mode :
-         {ProtectionMode::PpuOnly, ProtectionMode::ReliableQueue,
+         {ProtectionMode::Raw, ProtectionMode::ReliableQueue,
           ProtectionMode::CommGuard}) {
         LoadOptions options;
         options.mode = mode;

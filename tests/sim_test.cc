@@ -140,6 +140,26 @@ TEST(RunOnce, ErrorFreeHasNoCommGuardRepairs)
     EXPECT_GT(outcome.totalCgOps(), 0u);
 }
 
+TEST(RunOutcome, RepairedItemsSumsEveryRepairLeaf)
+{
+    RunOutcome outcome;
+    outcome.snapshot.setCounter("cg/F1/paddedItems", 1);
+    outcome.snapshot.setCounter("cg/F2/discardedItems", 20);
+    outcome.snapshot.setCounter("repl/F1/votedCorrections", 300);
+    outcome.snapshot.setCounter("abft/F3/correctedItems", 4000);
+    outcome.snapshot.setCounter("cg/F1/acceptedItems", 50000);
+    EXPECT_EQ(outcome.repairedItems(), 4321u);
+
+    // The per-counter predicate picks out exactly the same leaves.
+    Count by_leaf = 0;
+    for (const auto &[name, value] : outcome.snapshot.counters())
+        if (isRepairLeaf(name))
+            by_leaf += value;
+    EXPECT_EQ(by_leaf, outcome.repairedItems());
+    EXPECT_FALSE(isRepairLeaf("paddedItems"));
+    EXPECT_FALSE(isRepairLeaf("cg/F1/unpaddedItems"));
+}
+
 // ----------------------------------------------------------------------
 // Reliability model (paper §9).
 // ----------------------------------------------------------------------

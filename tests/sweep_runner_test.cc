@@ -42,80 +42,32 @@ TEST(ThreadPool, SequentialPoolRunsInline)
     EXPECT_EQ(pool.jobs(), 1u);
 
     int runs = 0;
-    pool.submit([&runs] { ++runs; });
-    EXPECT_EQ(runs, 1);  // Ran before submit returned.
+    pool.submitBatch(1, [&runs](unsigned, std::size_t) { ++runs; });
+    EXPECT_EQ(runs, 1);  // Ran before submitBatch returned.
     pool.wait();
     EXPECT_EQ(runs, 1);
-}
-
-TEST(ThreadPool, ParallelPoolRunsEveryJob)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-
-    std::atomic<int> runs{0};
-    for (int i = 0; i < 64; ++i)
-        pool.submit([&runs] { runs.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(runs.load(), 64);
-
-    // The pool is reusable after wait().
-    for (int i = 0; i < 8; ++i)
-        pool.submit([&runs] { runs.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(runs.load(), 72);
-}
-
-TEST(ThreadPool, InlineJobExceptionRethrownFromWait)
-{
-    ThreadPool pool(1);
-    pool.submit([] { throw std::runtime_error("inline boom"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-
-    // The pool survives and keeps running jobs after the rethrow.
-    int runs = 0;
-    pool.submit([&runs] { ++runs; });
-    pool.wait();
-    EXPECT_EQ(runs, 1);
-}
-
-TEST(ThreadPool, WorkerJobExceptionRethrownFromWait)
-{
-    ThreadPool pool(4);
-    std::atomic<int> runs{0};
-    for (int i = 0; i < 32; ++i) {
-        pool.submit([&runs, i] {
-            if (i == 7)
-                throw std::runtime_error("worker boom");
-            runs.fetch_add(1);
-        });
-    }
-    // A throwing job must neither terminate the process nor hang the
-    // pool: every other job still runs, and wait() reports the error.
-    try {
-        pool.wait();
-        FAIL() << "wait() should have rethrown the job exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "worker boom");
-    }
-    EXPECT_EQ(runs.load(), 31);
-
-    // Only the first exception is kept; the pool stays usable.
-    for (int i = 0; i < 8; ++i)
-        pool.submit([&runs] { runs.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(runs.load(), 39);
 }
 
 TEST(ThreadPool, FirstOfSeveralExceptionsWins)
 {
-    ThreadPool pool(2);
-    for (int i = 0; i < 4; ++i) {
-        pool.submit([] { throw std::runtime_error("boom"); });
+    for (const unsigned jobs : {1u, 2u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        ThreadPool pool(jobs);
+        pool.submitBatch(4, [](unsigned, std::size_t index) {
+            throw std::runtime_error("boom " + std::to_string(index));
+        });
+        try {
+            pool.wait();
+            FAIL() << "wait() should have rethrown a batch exception";
+        } catch (const std::runtime_error &e) {
+            // Inline indices run in order, so index 0 threw first.
+            if (jobs == 1) {
+                EXPECT_STREQ(e.what(), "boom 0");
+            }
+        }
+        // Later exceptions were discarded; a clean wait follows.
+        pool.wait();
     }
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // Later exceptions were discarded; a clean wait follows.
-    pool.wait();
 }
 
 // ----------------------------------------------------------------------
@@ -139,6 +91,7 @@ TEST(ThreadPoolBatch, InlineBatchRunsEveryIndexInOrder)
 TEST(ThreadPoolBatch, ParallelBatchRunsEveryIndexExactlyOnce)
 {
     ThreadPool pool(4);
+    EXPECT_EQ(pool.threadCount(), 4u);
     constexpr std::size_t count = 256;
     std::vector<std::atomic<int>> hits(count);
     std::vector<std::atomic<int>> worker_seen(4);
@@ -210,7 +163,6 @@ TEST(ThreadPoolBatch, StatsCountBatchesAndStolenIndices)
     const ThreadPool::Stats stats = pool.stats();
     EXPECT_EQ(stats.batchesSubmitted, 2u);
     EXPECT_EQ(stats.tasksStolen, 128u);  // Every index claimed once.
-    EXPECT_EQ(stats.jobsQueued, 0u);     // No legacy submit() jobs.
 
     pool.resetStats();
     EXPECT_EQ(pool.stats().batchesSubmitted, 0u);
@@ -355,7 +307,7 @@ smallSweep(const apps::App &app)
 {
     std::vector<RunDescriptor> descriptors;
     for (const streamit::ProtectionMode mode :
-         {streamit::ProtectionMode::PpuOnly,
+         {streamit::ProtectionMode::Raw,
           streamit::ProtectionMode::ReliableQueue,
           streamit::ProtectionMode::CommGuard}) {
         for (const double mtbe : {64'000.0, 1'024'000.0}) {

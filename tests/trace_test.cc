@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for execution tracing: commit/invocation/error events, the
- * disassembly in trace lines, and the line budget.
+ * Tests for a core's event tracer hook: injected errors reach the
+ * trace, and an untraced core runs without one.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 
 #include "isa/assembler.hh"
 #include "machine/backends.hh"
@@ -46,41 +45,6 @@ struct Harness
     }
 };
 
-TEST(Trace, RecordsCommitsWithDisassembly)
-{
-    Harness h(tinyProgram());
-    std::ostringstream os;
-    TextTracer tracer(os);
-    h.core->setTraceSink(&tracer);
-    ASSERT_TRUE(h.machine.run().completed);
-
-    const std::string text = os.str();
-    EXPECT_NE(text.find("invocation 1"), std::string::npos);
-    EXPECT_NE(text.find("li r1, 42"), std::string::npos);
-    EXPECT_NE(text.find("addi r2, r1, 1"), std::string::npos);
-    EXPECT_NE(text.find("halt"), std::string::npos);
-    EXPECT_EQ(tracer.commitsSeen(), 3u);  // li, addi, halt.
-}
-
-TEST(Trace, LineBudgetSilencesLongRuns)
-{
-    Assembler a("loop");
-    a.forDown(R1, 100, [&] { a.addi(R2, R2, 1); });
-    Harness h(a.finalize());
-
-    std::ostringstream os;
-    TextTracer tracer(os, 10);
-    h.core->setTraceSink(&tracer);
-    ASSERT_TRUE(h.machine.run().completed);
-
-    EXPECT_NE(os.str().find("trace line budget reached"),
-              std::string::npos);
-    // All commits are still counted even after output stops.
-    EXPECT_GT(tracer.commitsSeen(), 100u);
-    // Output stays bounded: ~11 instruction lines + banner lines.
-    EXPECT_LT(os.str().size(), 800u);
-}
-
 TEST(Trace, RecordsInjectedErrors)
 {
     Assembler a("spin");
@@ -93,20 +57,20 @@ TEST(Trace, RecordsInjectedErrors)
     config.seed = 4;
     h.core->configureInjector(config);
 
-    std::ostringstream os;
-    TextTracer tracer(os, 20);
-    h.core->setTraceSink(&tracer);
+    h.machine.enableEventTrace();
     ASSERT_TRUE(h.machine.run().completed);
 
-    EXPECT_GT(tracer.errorsSeen(), 5u);
-    EXPECT_EQ(tracer.errorsSeen(),
-              h.core->injector().errorsInjected());
+    const Count traced =
+        h.machine.eventTrace()->count(trace::EventKind::ErrorInjected);
+    EXPECT_GT(traced, 5u);
+    EXPECT_EQ(traced, h.core->injector().errorsInjected());
 }
 
 TEST(Trace, NullSinkIsDefaultAndFree)
 {
     Harness h(tinyProgram());
-    // No sink attached: simply runs.
+    // No tracer attached: simply runs.
+    EXPECT_EQ(h.core->eventTracer(), nullptr);
     ASSERT_TRUE(h.machine.run().completed);
     EXPECT_EQ(h.core->counters().committedInsts, 3u);
 }
