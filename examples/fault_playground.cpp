@@ -9,8 +9,10 @@
 //                    [--disasm]
 //     app:   jpeg | mp3 | audiobeamformer | channelvocoder |
 //            complex-fir | fft                (default jpeg)
-//     mode:  ppu | reliable | commguard | error-free
-//                                             (default commguard)
+//     mode:  any registered protection mode (raw, reliable-queue,
+//            commguard, replicate, abft, or an alias), plus the short
+//            spellings ppu | reliable, or error-free for CommGuard
+//            without injected errors           (default commguard)
 //     mtbe:  mean instructions between errors (default 512000)
 //     seed:  RNG seed                         (default 1)
 //     frame_scale: frames per CommGuard frame (default 1)
@@ -25,6 +27,7 @@
 #include "isa/program.hh"
 #include "sim/experiment.hh"
 #include "sim/experiment_config.hh"
+#include "sim/protection.hh"
 
 using namespace commguard;
 
@@ -47,6 +50,15 @@ main(int argc, char **argv)
         mode = streamit::ProtectionMode::ReliableQueue;
     } else if (mode_name == "error-free") {
         inject = false;
+    } else if (!protection::tryParseProtectionMode(mode_name, &mode)) {
+        std::fprintf(stderr,
+                     "unknown mode '%s' (expected ppu, reliable, "
+                     "error-free or one of: %s)\n",
+                     mode_name.c_str(),
+                     protection::ProtectionRegistry::instance()
+                         .nameList()
+                         .c_str());
+        return 1;
     }
 
     const apps::App app = apps::makeAppByName(app_name);
