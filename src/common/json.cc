@@ -63,11 +63,16 @@ writeDouble(std::ostream &os, double value)
 // Recursive-descent parser.
 // ------------------------------------------------------------------
 
+/** Deepest array/object nesting parse() accepts: recursion depth is
+ *  bounded, so hostile input cannot overflow the stack. */
+constexpr int kMaxDepth = 256;
+
 struct Parser
 {
     const std::string &text;
     std::size_t pos = 0;
     std::string error;
+    int depth = 0;
 
     bool
     fail(const std::string &message)
@@ -215,6 +220,8 @@ struct Parser
         if (pos >= text.size())
             return fail("unexpected end of input");
         const char c = text[pos];
+        if ((c == '{' || c == '[') && depth >= kMaxDepth)
+            return fail("nesting deeper than " + std::to_string(kMaxDepth));
         if (c == '{') {
             ++pos;
             Json::Object object;
@@ -223,6 +230,7 @@ struct Parser
                 out = Json(std::move(object));
                 return true;
             }
+            ++depth;
             while (true) {
                 skipSpace();
                 std::string key;
@@ -240,6 +248,7 @@ struct Parser
                     break;
                 return fail("expected ',' or '}'");
             }
+            --depth;
             out = Json(std::move(object));
             return true;
         }
@@ -251,6 +260,7 @@ struct Parser
                 out = Json(std::move(array));
                 return true;
             }
+            ++depth;
             while (true) {
                 Json value;
                 if (!parseValue(value))
@@ -262,6 +272,7 @@ struct Parser
                     break;
                 return fail("expected ',' or ']'");
             }
+            --depth;
             out = Json(std::move(array));
             return true;
         }
@@ -300,6 +311,14 @@ Json::number() const
     return static_cast<double>(std::get<std::int64_t>(_value));
 }
 
+namespace
+{
+
+/** 2^64: the first double a Count cannot hold. */
+constexpr double kCountLimit = 18446744073709551616.0;
+
+} // namespace
+
 Count
 Json::counter() const
 {
@@ -309,8 +328,25 @@ Json::counter() const
         const std::int64_t v = std::get<std::int64_t>(_value);
         return v < 0 ? 0 : static_cast<Count>(v);
     }
+    // Converting an out-of-range double is undefined behaviour; clamp
+    // first (this also maps NaN to 0).
     const double v = std::get<double>(_value);
-    return v < 0.0 ? 0 : static_cast<Count>(v);
+    if (!(v > 0.0))
+        return 0;
+    return v >= kCountLimit ? ~Count{0} : static_cast<Count>(v);
+}
+
+bool
+Json::isCount() const
+{
+    if (holds<Count>())
+        return true;
+    if (holds<std::int64_t>())
+        return std::get<std::int64_t>(_value) >= 0;
+    if (!holds<double>())
+        return false;
+    const double v = std::get<double>(_value);
+    return v >= 0.0 && v < kCountLimit && std::floor(v) == v;
 }
 
 const Json *

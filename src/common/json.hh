@@ -62,6 +62,10 @@ class Json
                holds<std::int64_t>();
     }
     bool isString() const { return holds<std::string>(); }
+
+    /** A number that is a non-negative integer below 2^64: one that
+     *  counter() returns exactly. */
+    bool isCount() const;
     bool isObject() const { return holds<Object>(); }
     bool isArray() const { return holds<Array>(); }
 
@@ -78,7 +82,8 @@ class Json
     /** Numeric value widened to double (any number representation). */
     double number() const;
 
-    /** Numeric value as an unsigned 64-bit counter (exact). */
+    /** Numeric value as an unsigned 64-bit counter: exact when
+     *  isCount(), else truncated and clamped to [0, 2^64 - 1]. */
     Count counter() const;
 
     /** Object member access; inserts null members on mutation. */

@@ -3,12 +3,15 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <sstream>
 #include <utility>
 
 #include "apps/random_graph_app.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/rng.hh"
+#include "sim/artifact_check.hh"
 #include "sim/protection.hh"
 #include "sim/run_export.hh"
 #include "sim/sweep_runner.hh"
@@ -16,64 +19,6 @@
 
 namespace commguard::sim
 {
-
-namespace
-{
-
-/** The jsonl_check line validation, reusable on an in-memory record. */
-void
-appendSchemaErrors(const Json &record, std::size_t run_index,
-                   std::vector<std::string> &failures)
-{
-    const auto fail = [&](const std::string &why) {
-        failures.push_back("schema: run " + std::to_string(run_index) +
-                           ": " + why);
-    };
-
-    // Round-trip through text: the record must survive its own
-    // serialization, exactly like a CG_JSONL consumer would see it.
-    Json reparsed;
-    std::string parse_error;
-    if (!Json::parse(record.dump(), reparsed, &parse_error)) {
-        fail("record does not reparse: " + parse_error);
-        return;
-    }
-
-    for (const char *key :
-         {"app", "protection_mode", "inject_errors", "mtbe", "seed",
-          "frame_scale"}) {
-        if (reparsed.find(key) == nullptr) {
-            fail(std::string("missing descriptor field '") + key + "'");
-            return;
-        }
-    }
-    const Json *version = reparsed.find("schema_version");
-    if (version == nullptr ||
-        version->counter() != static_cast<Count>(metrics::kSchemaVersion)) {
-        fail("bad or missing schema_version");
-        return;
-    }
-
-    metrics::MetricSnapshot snapshot;
-    try {
-        snapshot = metrics::snapshotFromJson(reparsed);
-    } catch (const std::exception &e) {
-        fail(std::string("snapshot rejected: ") + e.what());
-        return;
-    }
-    const Json reencoded = metrics::snapshotToJson(snapshot);
-    const Json *counters = reparsed.find("counters");
-    const Json *gauges = reparsed.find("gauges");
-    if (counters == nullptr || gauges == nullptr) {
-        fail("missing counters/gauges");
-        return;
-    }
-    if (reencoded.find("counters")->dump() != counters->dump() ||
-        reencoded.find("gauges")->dump() != gauges->dump())
-        fail("snapshot does not round-trip canonically");
-}
-
-} // namespace
 
 FuzzCase
 randomFuzzCase(std::uint64_t case_seed)
@@ -141,75 +86,69 @@ fuzzCaseJson(const FuzzCase &fuzz_case)
 bool
 fuzzCaseFromJson(const Json &json, FuzzCase &out, std::string *error)
 {
+    static constexpr FieldSpec kFields[] = {
+        {"case_seed", FieldType::Count},
+        {"graph_seed", FieldType::Count},
+        {"stages", FieldType::Count},
+        {"max_granularity", FieldType::Count},
+        {"frame_scale", FieldType::Count},
+        {"queue_capacity_words", FieldType::Count},
+        {"iterations", FieldType::Count},
+        {"jobs", FieldType::Count},
+        {"sweep_seeds", FieldType::Count},
+        {"mtbe", FieldType::Number},
+        {"allow_split_join", FieldType::Bool},
+        {"inject_errors", FieldType::Bool},
+        {"mode", FieldType::String},
+        {"break_invariant", FieldType::String},
+    };
     const auto fail = [error](const std::string &why) {
         if (error != nullptr)
             *error = why;
         return false;
     };
-    if (!json.isObject())
-        return fail("fuzz case is not an object");
+    if (const std::string why = checkFields(json, kFields); !why.empty())
+        return fail("fuzz case: " + why);
 
-    const auto number = [&](const char *key, Count &value) {
-        const Json *field = json.find(key);
-        if (field == nullptr || !field->isNumber())
-            return false;
-        value = field->counter();
-        return true;
+    // Positive axes; those narrower than 64 bits must fit, or the case
+    // would replay a different (truncated) configuration.
+    constexpr Count kInt = std::numeric_limits<int>::max();
+    constexpr std::pair<const char *, Count> kAxes[] = {
+        {"stages", kInt},
+        {"max_granularity", kInt},
+        {"frame_scale", ~Count{0}},
+        {"queue_capacity_words", ~Count{0}},
+        {"iterations", ~Count{0}},
+        {"jobs", std::numeric_limits<unsigned>::max()},
+        {"sweep_seeds", kInt},
     };
-
+    const auto count = [&json](const char *key) {
+        return json.find(key)->counter();
+    };
+    for (const auto &[key, limit] : kAxes) {
+        if (count(key) < 1 || count(key) > limit)
+            return fail(std::string("'") + key +
+                        "' must be a positive number");
+    }
     FuzzCase parsed;
-    Count raw = 0;
-    if (!number("case_seed", raw))
-        return fail("missing numeric 'case_seed'");
-    parsed.caseSeed = raw;
-    if (!number("graph_seed", raw))
-        return fail("missing numeric 'graph_seed'");
-    parsed.graphSeed = raw;
-    if (!number("stages", raw) || raw < 1)
-        return fail("'stages' must be a positive number");
-    parsed.stages = static_cast<int>(raw);
-    if (!number("max_granularity", raw) || raw < 1)
-        return fail("'max_granularity' must be a positive number");
-    parsed.maxGranularity = static_cast<int>(raw);
-    if (!number("frame_scale", raw) || raw < 1)
-        return fail("'frame_scale' must be a positive number");
-    parsed.frameScale = raw;
-    if (!number("queue_capacity_words", raw) || raw < 1)
-        return fail("'queue_capacity_words' must be a positive number");
-    parsed.queueCapacityWords = raw;
-    if (!number("iterations", raw) || raw < 1)
-        return fail("'iterations' must be a positive number");
-    parsed.iterations = raw;
-    if (!number("jobs", raw) || raw < 1)
-        return fail("'jobs' must be a positive number");
-    parsed.jobs = static_cast<unsigned>(raw);
-    if (!number("sweep_seeds", raw) || raw < 1)
-        return fail("'sweep_seeds' must be a positive number");
-    parsed.sweepSeeds = static_cast<int>(raw);
-
-    const Json *mtbe = json.find("mtbe");
-    if (mtbe == nullptr || !mtbe->isNumber() || !(mtbe->number() > 0.0))
+    parsed.caseSeed = count("case_seed");
+    parsed.graphSeed = count("graph_seed");
+    parsed.stages = static_cast<int>(count("stages"));
+    parsed.maxGranularity = static_cast<int>(count("max_granularity"));
+    parsed.frameScale = count("frame_scale");
+    parsed.queueCapacityWords = count("queue_capacity_words");
+    parsed.iterations = count("iterations");
+    parsed.jobs = static_cast<unsigned>(count("jobs"));
+    parsed.sweepSeeds = static_cast<int>(count("sweep_seeds"));
+    parsed.mtbe = json.find("mtbe")->number();
+    if (!(parsed.mtbe > 0.0))
         return fail("'mtbe' must be a positive number");
-    parsed.mtbe = mtbe->number();
-
-    const Json *split = json.find("allow_split_join");
-    const Json *inject = json.find("inject_errors");
-    if (split == nullptr || !split->isBool() || inject == nullptr ||
-        !inject->isBool())
-        return fail("missing boolean 'allow_split_join'/"
-                    "'inject_errors'");
-    parsed.allowSplitJoin = split->boolean();
-    parsed.injectErrors = inject->boolean();
-
-    const Json *mode = json.find("mode");
-    if (mode == nullptr || !mode->isString() ||
-        !protection::tryParseProtectionMode(mode->str(), &parsed.mode))
+    parsed.allowSplitJoin = json.find("allow_split_join")->boolean();
+    parsed.injectErrors = json.find("inject_errors")->boolean();
+    if (!protection::tryParseProtectionMode(json.find("mode")->str(),
+                                            &parsed.mode))
         return fail("'mode' is not a known protection mode name");
-
-    const Json *hook = json.find("break_invariant");
-    if (hook == nullptr || !hook->isString())
-        return fail("missing string 'break_invariant'");
-    parsed.breakInvariant = hook->str();
+    parsed.breakInvariant = json.find("break_invariant")->str();
 
     out = parsed;
     return true;
@@ -328,12 +267,18 @@ checkFuzzCase(const FuzzCase &fuzz_case)
             }
         }
 
-        // Schema: the JSONL record validates and round-trips.
+        // Schema: the record passes the jsonl_check run-record check.
+        // Its embedded conservation verdict is the conservation
+        // invariant above, reported there once.
         Json checked = base_record;
+        if (checked.find("forensics") != nullptr)
+            checked["forensics"]["conservation_errors"] = Json::array();
         if (fuzz_case.breakInvariant == "schema")
             checked["schema_version"] =
                 Json(metrics::kSchemaVersion + 1000);
-        appendSchemaErrors(checked, i, verdict.failures);
+        if (const std::string why = checkRunRecord(checked.dump());
+            !why.empty())
+            verdict.failures.push_back("schema: " + run + ": " + why);
     }
     return verdict;
 }
@@ -441,32 +386,49 @@ reproBundleJson(const FuzzCase &fuzz_case,
 bool
 reproBundleFromJson(const Json &json, FuzzCase &out, std::string *error)
 {
+    static constexpr FieldSpec kFields[] = {
+        {"schema_version", FieldType::Count},
+        {"kind", FieldType::String},
+        {"failures", FieldType::Array},
+        {"case", FieldType::Any},
+    };
     const auto fail = [error](const std::string &why) {
         if (error != nullptr)
             *error = why;
         return false;
     };
-    if (!json.isObject())
-        return fail("bundle is not an object");
-    const Json *version = json.find("schema_version");
-    if (version == nullptr || !version->isNumber() ||
-        version->counter() != static_cast<Count>(metrics::kSchemaVersion))
+    if (const std::string why = checkFields(json, kFields); !why.empty())
+        return fail("bundle: " + why);
+    if (json.find("schema_version")->counter() !=
+        static_cast<Count>(metrics::kSchemaVersion))
         return fail("bad or missing schema_version");
-    const Json *kind = json.find("kind");
-    if (kind == nullptr || !kind->isString() ||
-        kind->str() != "fuzz_repro")
+    if (json.find("kind")->str() != "fuzz_repro")
         return fail("bundle kind is not 'fuzz_repro'");
-    const Json *failures = json.find("failures");
-    if (failures == nullptr || !failures->isArray())
-        return fail("missing failures array");
-    for (const Json &failure : failures->arr()) {
+    for (const Json &failure : json.find("failures")->arr()) {
         if (!failure.isString())
             return fail("failures entries must be strings");
     }
-    const Json *embedded = json.find("case");
-    if (embedded == nullptr)
-        return fail("missing case object");
-    return fuzzCaseFromJson(*embedded, out, error);
+    return fuzzCaseFromJson(*json.find("case"), out, error);
+}
+
+bool
+readReproBundle(const std::string &path, FuzzCase &out,
+                std::string *error)
+{
+    // What replay accepts is exactly what `jsonl_check --repro` does.
+    const ArtifactVerdict verdict =
+        checkArtifactFile(*findArtifactSpec("--repro"), path);
+    if (!verdict.ok()) {
+        if (error != nullptr)
+            *error = verdict.errors.front();
+        return false;
+    }
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    Json bundle;
+    return Json::parse(text.str(), bundle, error) &&
+           reproBundleFromJson(bundle, out, error);
 }
 
 void

@@ -17,15 +17,14 @@
  *    RunOutcomes AND byte-identical JSONL records;
  *  - conservation: traceConservationErrors() finds no event/counter
  *    mismatch on any run;
- *  - schema: every JSONL record round-trips through
- *    metrics::snapshotFromJson() canonically.
+ *  - schema: every JSONL record passes the jsonl_check run-record
+ *    check (sim/artifact_check.hh).
  *
  * Everything derives from FuzzCase::caseSeed, so a failure is
  * replayable from a tiny JSON repro bundle: shrinkFuzzCase() greedily
  * simplifies the failing case axis by axis, writeReproBundle() emits
- * the bundle, and `cg_bench replay <bundle>` / `cg_fuzz replay
- * <bundle>` re-run it. `jsonl_check --repro` validates the bundle
- * format.
+ * the bundle, and `cg_fuzz replay <bundle>` re-runs it.
+ * readReproBundle() gates replay with the `jsonl_check --repro` rules.
  *
  * The breakInvariant field is a test hook: it deliberately corrupts
  * one checked artifact ("counter", "determinism", "schema") so the
@@ -116,6 +115,14 @@ Json reproBundleJson(const FuzzCase &fuzz_case,
 /** Parse a repro bundle; extracts the embedded case. */
 bool reproBundleFromJson(const Json &json, FuzzCase &out,
                          std::string *error = nullptr);
+
+/**
+ * Read the repro bundle at @p path: the one reader of bundles. Returns
+ * false (setting @p error when given) unless the file passes
+ * `jsonl_check --repro`; otherwise extracts the embedded case.
+ */
+bool readReproBundle(const std::string &path, FuzzCase &out,
+                     std::string *error = nullptr);
 
 /** Write reproBundleJson() to @p path (fatal on I/O failure). */
 void writeReproBundle(const std::string &path,

@@ -5,78 +5,15 @@
 #include "apps/app.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
+#include "sim/artifact_check.hh"
 #include "sim/protection.hh"
+#include "sim/run_export.hh"
 
 namespace commguard::sim
 {
 
 namespace
 {
-
-/** Strict helpers mirroring apps::makeAppFromSpec's: a wire
- *  descriptor with a missing or mistyped field is a protocol error,
- *  reported through descriptorFromJson's (false, *error) channel. */
-const Json *
-findField(const Json &object, const std::string &key,
-          std::string *error)
-{
-    const Json *value = object.find(key);
-    if (value == nullptr)
-        *error = "descriptor lacks '" + key + "'";
-    return value;
-}
-
-bool
-fieldCount(const Json &object, const std::string &key, Count *out,
-           std::string *error)
-{
-    const Json *value = findField(object, key, error);
-    if (value == nullptr || !value->isNumber()) {
-        *error = "descriptor field '" + key + "' is not a number";
-        return false;
-    }
-    *out = value->counter();
-    return true;
-}
-
-bool
-fieldDouble(const Json &object, const std::string &key, double *out,
-            std::string *error)
-{
-    const Json *value = findField(object, key, error);
-    if (value == nullptr || !value->isNumber()) {
-        *error = "descriptor field '" + key + "' is not a number";
-        return false;
-    }
-    *out = value->number();
-    return true;
-}
-
-bool
-fieldBool(const Json &object, const std::string &key, bool *out,
-          std::string *error)
-{
-    const Json *value = findField(object, key, error);
-    if (value == nullptr || !value->isBool()) {
-        *error = "descriptor field '" + key + "' is not a boolean";
-        return false;
-    }
-    *out = value->boolean();
-    return true;
-}
-
-bool
-fieldString(const Json &object, const std::string &key,
-            std::string *out, std::string *error)
-{
-    const Json *value = findField(object, key, error);
-    if (value == nullptr || !value->isString()) {
-        *error = "descriptor field '" + key + "' is not a string";
-        return false;
-    }
-    *out = value->str();
-    return true;
-}
 
 int
 hexNibble(char c)
@@ -135,21 +72,16 @@ descriptorJson(const RunDescriptor &descriptor)
     machine["timing"] = std::move(timing);
 
     Json json = Json::object();
-    json["app"] = Json(app.name);
+    addDescriptorFields(json, descriptor);
     json["app_spec"] = std::move(app_spec);
     json["flip_all_registers"] = Json(o.flipAllRegisters);
     json["frame_aligned_output"] = Json(o.frameAlignedOutput);
-    json["frame_scale"] = Json(o.frameScale);
     json["guard_source_edge"] = Json(o.guardSourceEdge);
-    json["inject_errors"] = Json(o.injectErrors);
     json["machine"] = std::move(machine);
-    json["mtbe"] = Json(o.mtbe);
     json["per_core_mtbe"] = std::move(per_core);
     json["per_node_frame_scale"] = std::move(per_node);
-    json["protection_mode"] = Json(protection::protectionModeName(o.mode));
     json["queue_capacity_words"] = Json(Count{o.queueCapacityWords});
     json["replicas"] = Json(static_cast<std::int64_t>(o.replicas));
-    json["seed"] = Json(Count{o.seed});
     return json;
 }
 
@@ -166,135 +98,109 @@ bool
 descriptorFromJson(const Json &json, AppCache &apps,
                    RunDescriptor *out, std::string *error)
 {
-    if (!json.isObject()) {
-        *error = "descriptor is not a JSON object";
+    // A wire descriptor with a missing or mistyped field is a protocol
+    // error, reported through the (false, *error) channel.
+    static constexpr FieldSpec kFields[] = {
+        {"app_spec", FieldType::Object},
+        {"app", FieldType::String},
+        {"protection_mode", FieldType::String},
+        {"inject_errors", FieldType::Bool},
+        {"mtbe", FieldType::Number},
+        {"seed", FieldType::Count},
+        {"flip_all_registers", FieldType::Bool},
+        {"frame_scale", FieldType::Count},
+        {"guard_source_edge", FieldType::Bool},
+        {"frame_aligned_output", FieldType::Bool},
+        {"per_core_mtbe", FieldType::Array},
+        {"per_node_frame_scale", FieldType::Array},
+        {"replicas", FieldType::Number},
+        {"queue_capacity_words", FieldType::Count},
+        {"machine", FieldType::Object},
+    };
+    static constexpr FieldSpec kMachineFields[] = {
+        {"slice_instructions", FieldType::Count},
+        {"timeout_rounds", FieldType::Count},
+        {"global_watchdog_insts", FieldType::Count},
+        {"timing", FieldType::Object},
+        {"ppu", FieldType::Object},
+    };
+    static constexpr FieldSpec kTimingFields[] = {
+        {"mem_extra_cycles", FieldType::Count},
+        {"queue_op_cycles", FieldType::Count},
+        {"frame_flush_cycles", FieldType::Count},
+    };
+    static constexpr FieldSpec kPpuFields[] = {
+        {"watchdog_multiplier", FieldType::Count},
+        {"default_scope_budget", FieldType::Count},
+        {"max_scope_budget", FieldType::Count},
+        {"enforce_nested_scopes", FieldType::Bool},
+        {"max_scope_depth", FieldType::Number},
+    };
+    const auto fail = [error](const std::string &why) {
+        *error = why;
         return false;
-    }
+    };
+    const auto at = [](const Json &object, const char *key) -> const Json & {
+        return *object.find(key);
+    };
 
-    const Json *app_spec = json.find("app_spec");
-    if (app_spec == nullptr || !app_spec->isObject()) {
-        *error = "descriptor field 'app_spec' is not an object";
-        return false;
-    }
-    const apps::App &app = apps.fromSpec(app_spec->dump());
+    std::string why = checkFields(json, kFields);
+    if (why.empty())
+        why = checkFields(at(json, "machine"), kMachineFields);
+    if (why.empty())
+        why = checkFields(at(at(json, "machine"), "timing"), kTimingFields);
+    if (why.empty())
+        why = checkFields(at(at(json, "machine"), "ppu"), kPpuFields);
+    if (!why.empty())
+        return fail("descriptor: " + why);
+    const Json &machine = at(json, "machine");
 
-    std::string app_name;
-    if (!fieldString(json, "app", &app_name, error))
-        return false;
-    if (app_name != app.name) {
-        *error = "descriptor app '" + app_name +
-                 "' does not match spec-built app '" + app.name + "'";
-        return false;
-    }
+    const apps::App &app = apps.fromSpec(at(json, "app_spec").dump());
+    if (at(json, "app").str() != app.name)
+        return fail("descriptor app '" + at(json, "app").str() +
+                    "' does not match spec-built app '" + app.name + "'");
 
     streamit::LoadOptions o;
-    std::string mode_name;
-    if (!fieldString(json, "protection_mode", &mode_name, error))
-        return false;
-    if (!protection::tryParseProtectionMode(mode_name, &o.mode)) {
-        *error = "unknown protection mode '" + mode_name + "'";
-        return false;
-    }
-
-    Count count = 0;
-    if (!fieldBool(json, "inject_errors", &o.injectErrors, error) ||
-        !fieldDouble(json, "mtbe", &o.mtbe, error) ||
-        !fieldCount(json, "seed", &count, error))
-        return false;
-    o.seed = count;
-    if (!fieldBool(json, "flip_all_registers", &o.flipAllRegisters,
-                   error) ||
-        !fieldCount(json, "frame_scale", &o.frameScale, error) ||
-        !fieldBool(json, "guard_source_edge", &o.guardSourceEdge,
-                   error) ||
-        !fieldBool(json, "frame_aligned_output", &o.frameAlignedOutput,
-                   error))
-        return false;
-
-    const Json *per_core = json.find("per_core_mtbe");
-    if (per_core == nullptr || !per_core->isArray()) {
-        *error = "descriptor field 'per_core_mtbe' is not an array";
-        return false;
-    }
+    const std::string &mode_name = at(json, "protection_mode").str();
+    if (!protection::tryParseProtectionMode(mode_name, &o.mode))
+        return fail("unknown protection mode '" + mode_name + "'");
+    o.injectErrors = at(json, "inject_errors").boolean();
+    o.mtbe = at(json, "mtbe").number();
+    o.seed = at(json, "seed").counter();
+    o.flipAllRegisters = at(json, "flip_all_registers").boolean();
+    o.frameScale = at(json, "frame_scale").counter();
+    o.guardSourceEdge = at(json, "guard_source_edge").boolean();
+    o.frameAlignedOutput = at(json, "frame_aligned_output").boolean();
     o.perCoreMtbe.clear();
-    for (const Json &m_core : per_core->arr()) {
-        if (!m_core.isNumber()) {
-            *error = "per_core_mtbe entry is not a number";
-            return false;
-        }
+    for (const Json &m_core : at(json, "per_core_mtbe").arr()) {
+        if (!m_core.isNumber())
+            return fail("per_core_mtbe entry is not a number");
         o.perCoreMtbe.push_back(m_core.number());
     }
-
-    const Json *per_node = json.find("per_node_frame_scale");
-    if (per_node == nullptr || !per_node->isArray()) {
-        *error = "descriptor field 'per_node_frame_scale' is not an "
-                 "array";
-        return false;
-    }
     o.perNodeFrameScale.clear();
-    for (const Json &scale : per_node->arr()) {
-        if (!scale.isNumber()) {
-            *error = "per_node_frame_scale entry is not a number";
-            return false;
-        }
+    for (const Json &scale : at(json, "per_node_frame_scale").arr()) {
+        if (!scale.isCount())
+            return fail("per_node_frame_scale entry is not a count");
         o.perNodeFrameScale.push_back(scale.counter());
     }
+    o.replicas = static_cast<int>(at(json, "replicas").number());
+    o.queueCapacityWords =
+        static_cast<std::size_t>(at(json, "queue_capacity_words").counter());
 
-    double replicas = 0.0;
-    if (!fieldDouble(json, "replicas", &replicas, error))
-        return false;
-    o.replicas = static_cast<int>(replicas);
-    if (!fieldCount(json, "queue_capacity_words", &count, error))
-        return false;
-    o.queueCapacityWords = static_cast<std::size_t>(count);
-
-    const Json *machine = json.find("machine");
-    if (machine == nullptr || !machine->isObject()) {
-        *error = "descriptor field 'machine' is not an object";
-        return false;
-    }
     MachineConfig &m = o.machine;
-    if (!fieldCount(*machine, "slice_instructions",
-                    &m.sliceInstructions, error) ||
-        !fieldCount(*machine, "timeout_rounds", &m.timeoutRounds,
-                    error) ||
-        !fieldCount(*machine, "global_watchdog_insts",
-                    &m.globalWatchdogInsts, error))
-        return false;
-
-    const Json *timing = machine->find("timing");
-    if (timing == nullptr || !timing->isObject()) {
-        *error = "descriptor field 'machine.timing' is not an object";
-        return false;
-    }
-    if (!fieldCount(*timing, "mem_extra_cycles", &count, error))
-        return false;
-    m.timing.memExtraCycles = count;
-    if (!fieldCount(*timing, "queue_op_cycles", &count, error))
-        return false;
-    m.timing.queueOpCycles = count;
-    if (!fieldCount(*timing, "frame_flush_cycles", &count, error))
-        return false;
-    m.timing.frameFlushCycles = count;
-
-    const Json *ppu = machine->find("ppu");
-    if (ppu == nullptr || !ppu->isObject()) {
-        *error = "descriptor field 'machine.ppu' is not an object";
-        return false;
-    }
-    if (!fieldCount(*ppu, "watchdog_multiplier",
-                    &m.ppu.watchdogMultiplier, error) ||
-        !fieldCount(*ppu, "default_scope_budget",
-                    &m.ppu.defaultScopeBudget, error) ||
-        !fieldCount(*ppu, "max_scope_budget", &m.ppu.maxScopeBudget,
-                    error) ||
-        !fieldBool(*ppu, "enforce_nested_scopes",
-                   &m.ppu.enforceNestedScopes, error))
-        return false;
-    double depth = 0.0;
-    if (!fieldDouble(*ppu, "max_scope_depth", &depth, error))
-        return false;
-    m.ppu.maxScopeDepth = static_cast<int>(depth);
+    m.sliceInstructions = at(machine, "slice_instructions").counter();
+    m.timeoutRounds = at(machine, "timeout_rounds").counter();
+    m.globalWatchdogInsts = at(machine, "global_watchdog_insts").counter();
+    const Json &timing = at(machine, "timing");
+    m.timing.memExtraCycles = at(timing, "mem_extra_cycles").counter();
+    m.timing.queueOpCycles = at(timing, "queue_op_cycles").counter();
+    m.timing.frameFlushCycles = at(timing, "frame_flush_cycles").counter();
+    const Json &ppu = at(machine, "ppu");
+    m.ppu.watchdogMultiplier = at(ppu, "watchdog_multiplier").counter();
+    m.ppu.defaultScopeBudget = at(ppu, "default_scope_budget").counter();
+    m.ppu.maxScopeBudget = at(ppu, "max_scope_budget").counter();
+    m.ppu.enforceNestedScopes = at(ppu, "enforce_nested_scopes").boolean();
+    m.ppu.maxScopeDepth = static_cast<int>(at(ppu, "max_scope_depth").number());
 
     out->app = &app;
     out->options = std::move(o);

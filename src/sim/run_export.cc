@@ -9,11 +9,9 @@
 namespace commguard::sim
 {
 
-Json
-runRecordJson(const RunDescriptor &descriptor,
-              const RunOutcome &outcome)
+void
+addDescriptorFields(Json &record, const RunDescriptor &descriptor)
 {
-    Json record = metrics::snapshotToJson(outcome.snapshot);
     record["app"] = Json(descriptor.app->name);
     record["protection_mode"] =
         Json(streamit::protectionModeName(descriptor.options.mode));
@@ -21,6 +19,14 @@ runRecordJson(const RunDescriptor &descriptor,
     record["mtbe"] = Json(descriptor.options.mtbe);
     record["seed"] = Json(Count{descriptor.options.seed});
     record["frame_scale"] = Json(descriptor.options.frameScale);
+}
+
+Json
+runRecordJson(const RunDescriptor &descriptor,
+              const RunOutcome &outcome)
+{
+    Json record = metrics::snapshotToJson(outcome.snapshot);
+    addDescriptorFields(record, descriptor);
 
     // Traced runs carry their realignment forensics and the event/
     // counter conservation verdict inline. snapshotFromJson() ignores

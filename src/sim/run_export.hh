@@ -34,12 +34,17 @@ namespace commguard::sim
 {
 
 /**
+ * Set the identifying descriptor fields of @p descriptor on @p record:
+ * "app", "protection_mode", "inject_errors", "mtbe", "seed" and
+ * "frame_scale" (run records and telemetry records).
+ */
+void addDescriptorFields(Json &record, const RunDescriptor &descriptor);
+
+/**
  * The JSONL record of one run: snapshotToJson() of the outcome's
- * snapshot plus the identifying descriptor fields ("app",
- * "protection_mode", "inject_errors", "mtbe", "seed", "frame_scale").
- * snapshotFromJson()
- * accepts the result unchanged (extra keys are ignored), so a parsed
- * line round-trips to the exact in-memory snapshot.
+ * snapshot plus addDescriptorFields(). snapshotFromJson() accepts the
+ * result unchanged (extra keys are ignored), so a parsed line
+ * round-trips to the exact in-memory snapshot.
  */
 Json runRecordJson(const RunDescriptor &descriptor,
                    const RunOutcome &outcome);

@@ -93,14 +93,6 @@ middleComponent(const std::string &name)
     return name.substr(first + 1, second - first - 1);
 }
 
-bool
-endsWith(const std::string &name, const char *leaf)
-{
-    const std::size_t n = std::char_traits<char>::length(leaf);
-    return name.size() >= n &&
-           name.compare(name.size() - n, n, leaf) == 0;
-}
-
 } // namespace
 
 ServiceDriver::ServiceDriver(ServiceConfig config)
@@ -325,8 +317,8 @@ ServiceDriver::run()
         counter_nodes.assign(names.size(), std::string());
         for (std::size_t i = 0; i < names.size(); ++i) {
             const std::string &name = names[i];
-            if (endsWith(name, "/errorsInjected") &&
-                name.compare(0, 5, "node/") == 0) {
+            if (name.ends_with("/errorsInjected") &&
+                name.starts_with("node/")) {
                 counter_kinds[i] = CounterKind::Error;
             } else if (isRepairLeaf(name)) {
                 counter_kinds[i] = CounterKind::Repair;

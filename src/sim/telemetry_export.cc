@@ -14,6 +14,7 @@
 #include "common/telemetry.hh"
 #include "sim/env_options.hh"
 #include "sim/result_cache.hh"
+#include "sim/run_export.hh"
 #include "sim/shard.hh"
 
 namespace commguard::sim
@@ -67,12 +68,9 @@ extractStageSeries(const RunDescriptor &descriptor,
     std::vector<Kind> kinds(names.size(), Kind::Other);
     for (std::size_t i = 0; i < names.size(); ++i) {
         const std::string &name = names[i];
-        if (name.size() >= 14 &&
-            name.compare(name.size() - 14, 14, "committedInsts") == 0)
+        if (name.ends_with("committedInsts"))
             kinds[i] = Kind::Work;
-        else if (name.size() >= 13 &&
-                 name.compare(name.size() - 13, 13, "blockedSlices") ==
-                     0)
+        else if (name.ends_with("blockedSlices"))
             kinds[i] = Kind::Blocked;
         else if (isRepairLeaf(name))
             kinds[i] = Kind::Repair;
@@ -404,14 +402,7 @@ telemetryRecordsJson(const RunDescriptor &descriptor,
         Json record = Json::object();
         record["telemetry_schema_version"] =
             Json(telemetry::kTelemetrySchemaVersion);
-        record["app"] = Json(descriptor.app->name);
-        record["protection_mode"] = Json(
-            streamit::protectionModeName(descriptor.options.mode));
-        record["inject_errors"] =
-            Json(descriptor.options.injectErrors);
-        record["mtbe"] = Json(descriptor.options.mtbe);
-        record["seed"] = Json(Count{descriptor.options.seed});
-        record["frame_scale"] = Json(descriptor.options.frameScale);
+        addDescriptorFields(record, descriptor);
         record["run_index"] = Json(run_index);
         record["sample"] = Json(sample.index);
         record["slice"] = Json(sample.slice);

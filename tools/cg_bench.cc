@@ -9,8 +9,6 @@
  *   cg_bench run <name> [<name>…]   run scenarios by name
  *   cg_bench run --mode=<mode> …    restrict mode-sweeping scenarios
  *                                   to one registered protection mode
- *   cg_bench replay <bundle.json>   re-run a fuzz repro bundle
- *                                   (docs/FUZZING.md)
  *   cg_bench run --shards=<n> …     execute the sweeps across <n>
  *                                   worker processes (docs/SHARDING.md)
  *   cg_bench serve …                like run, with sharding on by
@@ -35,8 +33,7 @@
  * cache directory).
  *
  * Exit codes: 0 success, 1 runtime failure (fatal() inside a
- * scenario) or a replayed bundle reproducing its failure, 2 usage
- * error (unknown subcommand, scenario or tag, unreadable bundle, bad
+ * scenario), 2 usage error (unknown subcommand, scenario or tag, bad
  * --shards value, unusable CG_CACHE_DIR).
  */
 
@@ -55,7 +52,6 @@
 #include "apps/app.hh"
 #include "common/thread_pool.hh"
 #include "sim/env_options.hh"
-#include "sim/fuzz.hh"
 #include "sim/protection.hh"
 #include "sim/scenario.hh"
 #include "sim/service_driver.hh"
@@ -127,7 +123,6 @@ usage(std::ostream &out, int code)
            "here\n"
            "  worker                   internal: shard worker on "
            "stdin/stdout\n"
-           "  replay <bundle.json>     re-run a fuzz repro bundle\n"
            "\n"
            "environment: CG_QUICK CG_JOBS CG_CSV CG_JSON CG_JSONL "
            "CG_MODE CG_TRACE_EVENTS CG_TELEMETRY_SLICES "
@@ -566,52 +561,6 @@ cmdServeRun(const std::vector<std::string> &args)
     return outcome.completed ? 0 : 1;
 }
 
-int
-cmdReplay(const std::vector<std::string> &args)
-{
-    if (args.size() != 1) {
-        std::cerr << "cg_bench replay: expected exactly one bundle "
-                     "path\n";
-        return usage(std::cerr, 2);
-    }
-
-    std::ifstream in(args[0]);
-    if (!in.good()) {
-        std::cerr << "cg_bench replay: cannot open '" << args[0]
-                  << "'\n";
-        return 2;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-
-    Json bundle;
-    std::string error;
-    if (!Json::parse(buffer.str(), bundle, &error)) {
-        std::cerr << "cg_bench replay: '" << args[0]
-                  << "': parse error: " << error << "\n";
-        return 2;
-    }
-    sim::FuzzCase fuzz_case;
-    if (!sim::reproBundleFromJson(bundle, fuzz_case, &error)) {
-        std::cerr << "cg_bench replay: '" << args[0]
-                  << "': invalid bundle: " << error << "\n";
-        return 2;
-    }
-
-    const sim::FuzzVerdict verdict = sim::checkFuzzCase(fuzz_case);
-    if (!verdict.ok()) {
-        std::cerr << "cg_bench replay: reproduced "
-                  << verdict.failures.size()
-                  << " invariant failure(s):\n";
-        for (const std::string &failure : verdict.failures)
-            std::cerr << "  " << failure << "\n";
-        return 1;
-    }
-    std::cout << "cg_bench replay: bundle case is clean ("
-              << verdict.runs << " sweep runs)\n";
-    return 0;
-}
-
 /**
  * CG_CACHE_DIR must be usable before any sweep consults it: create it
  * if missing and prove writability with a probe file. A bad directory
@@ -684,8 +633,6 @@ main(int argc, char **argv)
         // Frames on stdin/stdout, diagnostics on stderr.
         return sim::shardWorkerLoop(0, 1);
     }
-    if (args[0] == "replay")
-        return cmdReplay(rest);
 
     std::cerr << "cg_bench: unknown command '" << args[0] << "'\n";
     return usage(std::cerr, 2);

@@ -21,8 +21,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -235,10 +233,8 @@ cmdRun(const std::vector<std::string> &args)
                                   minimal_verdict.failures);
             std::fprintf(stderr,
                          "cg_fuzz: wrote repro bundle '%s' "
-                         "(replay with 'cg_fuzz replay %s' or "
-                         "'cg_bench replay %s')\n",
-                         bundle_path.c_str(), bundle_path.c_str(),
-                         bundle_path.c_str());
+                         "(replay with 'cg_fuzz replay %s')\n",
+                         bundle_path.c_str(), bundle_path.c_str());
             return 1;
         }
     }
@@ -255,26 +251,10 @@ cmdReplay(const std::vector<std::string> &args)
     if (args.size() != 1)
         return usage();
 
-    std::ifstream in(args[0]);
-    if (!in.good()) {
-        std::fprintf(stderr, "cg_fuzz: cannot open '%s'\n",
-                     args[0].c_str());
-        return 2;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-
-    Json bundle;
-    std::string error;
-    if (!Json::parse(buffer.str(), bundle, &error)) {
-        std::fprintf(stderr, "cg_fuzz: '%s': parse error: %s\n",
-                     args[0].c_str(), error.c_str());
-        return 2;
-    }
     sim::FuzzCase fuzz_case;
-    if (!sim::reproBundleFromJson(bundle, fuzz_case, &error)) {
-        std::fprintf(stderr, "cg_fuzz: '%s': invalid bundle: %s\n",
-                     args[0].c_str(), error.c_str());
+    std::string error;
+    if (!sim::readReproBundle(args[0], fuzz_case, &error)) {
+        std::fprintf(stderr, "cg_fuzz: %s\n", error.c_str());
         return 2;
     }
 
